@@ -42,13 +42,20 @@ race:
 	$(GO) test -race ./internal/...
 
 # ckpt-tests names the fast-forward correctness gates explicitly: the
-# checkpoint store round-trip, the snapshot round-trip, and the strongest
+# checkpoint store round-trip, the snapshot round-trip, the strongest
 # check — checkpoint-booted runs reproduce an uninterrupted run's committed
-# stream and final architectural state bit-exactly.
+# stream and final architectural state bit-exactly — and the copy-on-write
+# boot path: pinned program digests, the shared data image (equal to
+# InitialData, never written by any run), memory isolation between clones,
+# page-bounded load cost, and concurrent boots from one stored snapshot
+# under the race detector.
 ckpt-tests:
-	$(GO) test -run 'TestStoreRoundTrip|TestPrepare|TestSampleFunctional' ./internal/ckpt/
-	$(GO) test -run 'TestSnapshotRestoreRoundTrip|TestStepNMatchesStep' ./internal/emu/
-	$(GO) test -run 'TestCheckpointResumeEquivalence' ./internal/pipeline/
+	$(GO) test -run 'TestStoreRoundTrip|TestPrepare|TestSampleFunctional|TestProgramDigestPinned' ./internal/ckpt/
+	$(GO) test -run 'TestSnapshotRestoreRoundTrip|TestStepNMatchesStep|TestCopyOnWriteIsolation|TestFreezeMakesCloneReadOnly|TestNewAllocsBoundedByPages' ./internal/emu/
+	$(GO) test -run 'TestDataImage|TestOverlapReportsLowestAddress' ./internal/prog/
+	$(GO) test -run 'TestDataPagesMatchInitialData|TestByNameMemoized' ./internal/workloads/
+	$(GO) test -run 'TestCheckpointResumeEquivalence|TestDataImageNeverWritten' ./internal/pipeline/
+	$(GO) test -race -run 'TestConcurrentBootFromStoredSnapshot' ./internal/pipeline/
 
 # smoke exercises the command-line surfaces end-to-end over a tiny
 # workload: the pipeline view, the Chrome trace export and the JSON run

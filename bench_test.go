@@ -292,6 +292,44 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
+// BenchmarkBoot measures the boot layer on its own, on listwalk at reference
+// scale (the suite's largest data image): loading the program into a
+// functional machine (emu.New), snapshotting a machine mid-run, and booting
+// a detailed core from that snapshot (pipeline.New with Config.Boot). All
+// three install shared pages copy-on-write, so with -benchmem the
+// allocations track the page count, not the initialized byte count.
+// BenchmarkFastForward and BenchmarkEmulatorThroughput include one emu.New
+// per iteration in their rates. Sub-benchmark names carry no dots, which
+// would split the regress evidence paths built from them.
+func BenchmarkBoot(b *testing.B) {
+	w, _ := workloads.ByName("listwalk", 4)
+	p := w.Program()
+	s := emu.New(p)
+	if _, err := s.StepN(100_000); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("emu_new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			emu.New(p)
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Snapshot()
+		}
+	})
+	cfg := pipeline.DefaultConfig(pipeline.Reuse)
+	cfg.Boot = s.Snapshot()
+	b.Run("pipeline_new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pipeline.New(cfg, p)
+		}
+	})
+}
+
 // BenchmarkAnalysisThroughput measures the streaming Figure 1-3 trace
 // analysis rate: committed instructions per wall-clock second through
 // analysis.AnalyzeProgram (emu.RunToHaltBatch feeding the bounded-memory

@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/emu"
 	"repro/internal/prog"
@@ -52,32 +51,21 @@ func ProgramDigest(p *prog.Program) Digest {
 		u64(uint64(in.Rd) | uint64(in.Rs1)<<8 | uint64(in.Rs2)<<16)
 		u64(uint64(in.Imm))
 	}
-	// InitialData iterates in unspecified order; serialize sorted.
-	addrs, bytes := sortedData(p)
-	u64(uint64(len(addrs)))
-	for i, a := range addrs {
-		u64(a)
-		h.Write([]byte{bytes[i]})
-	}
+	// Initial data: the byte count, then (addr, byte) per initialized byte
+	// in ascending address order, batched into one buffer per 512 bytes.
+	u64(uint64(p.DataLen()))
+	rec := make([]byte, 0, 9*512)
+	p.InitialData(func(a uint64, b byte) {
+		rec = append(binary.LittleEndian.AppendUint64(rec, a), b)
+		if len(rec) == cap(rec) {
+			h.Write(rec)
+			rec = rec[:0]
+		}
+	})
+	h.Write(rec)
 	var d Digest
 	h.Sum(d[:0])
 	return d
-}
-
-func sortedData(p *prog.Program) ([]uint64, []byte) {
-	type kv struct {
-		a uint64
-		b byte
-	}
-	pairs := make([]kv, 0, p.DataLen())
-	p.InitialData(func(a uint64, b byte) { pairs = append(pairs, kv{a, b}) })
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].a < pairs[j].a })
-	addrs := make([]uint64, len(pairs))
-	bs := make([]byte, len(pairs))
-	for i, p := range pairs {
-		addrs[i], bs[i] = p.a, p.b
-	}
-	return addrs, bs
 }
 
 // FastForward functionally executes p from reset to exactly n instructions

@@ -51,6 +51,26 @@ func TestProgramDigestSensitivity(t *testing.T) {
 	}
 }
 
+// TestProgramDigestPinned pins the digests of fixed workloads to values
+// recorded before the data image moved from a per-byte map to shared pages.
+// Every checkpoint key is derived from this digest, so a change here would
+// silently orphan every stored checkpoint.
+func TestProgramDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale int
+		want  string
+	}{
+		{"dgemm", 1, "2ed9e4b5679ef1a85f2ff1aec5e19fff6738fdf5c1562098f694f9f78832410a"},
+		{"listwalk", 4, "b56e8dcbc0a929a1a8daa9fd6d430e02ee97e981f9b975b9a5852e4e4dc07c9a"},
+		{"hashjoin", 1, "6880a2884815fe74036f6bf3bb1dcdac0fa9d5307506890d4842bbbbef8ea96b"},
+	} {
+		if got := ProgramDigest(assemble(t, c.name, c.scale)).String(); got != c.want {
+			t.Errorf("%s@%d: digest %s, want %s", c.name, c.scale, got, c.want)
+		}
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	p := assemble(t, "dgemm", 1)
 	d := ProgramDigest(p)

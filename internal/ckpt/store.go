@@ -242,5 +242,8 @@ func decode(r io.Reader, want Digest) (*emu.Snapshot, error) {
 		}
 		sn.Mem.SetPageData(pn, &page)
 	}
+	// A snapshot's memory owns no pages (emu.Snapshot's invariant), so
+	// every core booted from this one clones it without writing to it.
+	sn.Mem.Freeze()
 	return sn, nil
 }

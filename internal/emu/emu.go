@@ -37,11 +37,11 @@ type State struct {
 	count  uint64
 }
 
-// New creates a machine loaded with p: data image installed, PC at the entry
-// point, stack pointer (x29) at prog.StackTop.
+// New creates a machine loaded with p: data image installed (shared
+// copy-on-write, so loading costs O(pages)), PC at the entry point, stack
+// pointer (x29) at prog.StackTop.
 func New(p *prog.Program) *State {
-	s := &State{Mem: NewMemory(), PC: p.Entry(), prog: p}
-	p.InitialData(func(addr uint64, b byte) { s.Mem.StoreByte(addr, b) })
+	s := &State{Mem: ProgramMemory(p), PC: p.Entry(), prog: p}
 	s.X[29] = prog.StackTop
 	return s
 }

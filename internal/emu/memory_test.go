@@ -152,3 +152,83 @@ func TestWordFastPathCacheInvalidation(t *testing.T) {
 		t.Fatalf("read after SetPageData = %#x, want 0xBB", got)
 	}
 }
+
+// TestCopyOnWriteIsolation: a clone, its source, and machines restored from
+// one snapshot share pages until written, and no write through any of them
+// shows through to another.
+func TestCopyOnWriteIsolation(t *testing.T) {
+	const a, b = 0x2000, 0x2008 // same page
+	m := NewMemory()
+	m.StoreWord64(a, 1)
+	m.StoreWord64(b, 2)
+
+	c := m.Clone()
+	if c.PageData(2) != m.PageData(2) {
+		t.Fatal("clone copied a page instead of sharing it")
+	}
+	c.StoreWord64(a, 10)
+	m.StoreWord64(b, 20) // m cached page 2 as writable before the Clone
+	if m.LoadWord64(a) != 1 || c.LoadWord64(b) != 2 {
+		t.Fatalf("writes crossed: source a=%d, clone b=%d", m.LoadWord64(a), c.LoadWord64(b))
+	}
+	if c.LoadWord64(a) != 10 || m.LoadWord64(b) != 20 {
+		t.Fatalf("writes lost: clone a=%d, source b=%d", c.LoadWord64(a), m.LoadWord64(b))
+	}
+
+	// Byte stores and fresh pages go through the same ownership check.
+	d := c.Clone()
+	d.StoreByte(a, 0xEE)
+	d.StoreWord64(0x9000, 7)
+	if c.LoadByte(a) != 10 || c.LoadWord64(0x9000) != 0 {
+		t.Fatal("byte store or new page leaked from clone of clone")
+	}
+
+	// Machines restored from one snapshot diverge independently, and the
+	// snapshot itself never changes.
+	s := &State{Mem: m}
+	sn := s.Snapshot()
+	r1, r2 := &State{}, &State{}
+	r1.Restore(sn)
+	r2.Restore(sn)
+	r1.Mem.StoreWord64(a, 100)
+	r2.Mem.StoreWord64(a, 200)
+	s.Mem.StoreWord64(a, 300)
+	if got := [4]uint64{sn.Mem.LoadWord64(a), r1.Mem.LoadWord64(a), r2.Mem.LoadWord64(a), s.Mem.LoadWord64(a)}; got != [4]uint64{1, 100, 200, 300} {
+		t.Fatalf("snapshot/restored/source a = %v, want [1 100 200 300]", got)
+	}
+}
+
+// TestFreezeMakesCloneReadOnly: cloning a frozen memory must not write to
+// it (the race-freedom argument for concurrent boots from one snapshot).
+func TestFreezeMakesCloneReadOnly(t *testing.T) {
+	m := NewMemory()
+	m.StoreWord64(0x1000, 1)
+	m.StoreWord64(0x5000, 2)
+	m.Freeze()
+	before := m.pages[1]
+	for i := 0; i < 3; i++ {
+		m.Clone().StoreWord64(0x1000, uint64(10+i))
+	}
+	if m.pages[1] != before || m.LoadWord64(0x1000) != 1 {
+		t.Fatal("Clone or a clone's store modified a frozen memory")
+	}
+	for pn, r := range m.pages {
+		if r.owned {
+			t.Fatalf("frozen memory owns page %d", pn)
+		}
+	}
+}
+
+// TestNewAllocsBoundedByPages: loading a program installs page pointers,
+// so emu.New allocates per page (the map), not per initialized byte.
+func TestNewAllocsBoundedByPages(t *testing.T) {
+	p := assembleWorkload(t, "listwalk", 4)
+	pages := len(p.DataPages())
+	if p.DataLen() < 100*pages {
+		t.Fatalf("workload too sparse to tell pages from bytes: %d bytes in %d pages", p.DataLen(), pages)
+	}
+	allocs := testing.AllocsPerRun(20, func() { New(p) })
+	if allocs > float64(pages) {
+		t.Errorf("emu.New: %.0f allocs for %d pages (%d initialized bytes)", allocs, pages, p.DataLen())
+	}
+}

@@ -19,11 +19,14 @@ type Snapshot struct {
 	PC        uint64
 	InstCount uint64
 	Halted    bool
-	Mem       *Memory // deep copy; never aliased with a live machine
+	Mem       *Memory // frozen: owns no pages, so it is only ever cloned
 }
 
-// Snapshot captures the machine's architectural state. The memory image is
-// deep-copied, so the snapshot stays valid as the machine runs on.
+// Snapshot captures the machine's architectural state. The memory is cloned
+// copy-on-write: the snapshot and the machine share every page, neither
+// owns any, and whichever machine writes a page later copies it first. The
+// snapshot stays valid as the machine runs on, and any number of machines
+// may boot from it concurrently.
 func (s *State) Snapshot() *Snapshot {
 	return &Snapshot{
 		X:         s.X,
@@ -36,7 +39,8 @@ func (s *State) Snapshot() *Snapshot {
 }
 
 // Restore rewinds (or fast-forwards) the machine to a snapshot. The loaded
-// program is unchanged; only architectural state moves.
+// program is unchanged; only architectural state moves. The memory is a
+// copy-on-write clone, so Restore costs O(pages) and never writes sn.
 func (s *State) Restore(sn *Snapshot) {
 	s.X = sn.X
 	s.F = sn.F

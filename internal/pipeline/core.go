@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bpred"
 	"repro/internal/emu"
@@ -221,7 +220,6 @@ func New(cfg Config, p *prog.Program) *Core {
 		cfg:  cfg,
 		prog: p,
 		uops: p.UOps(),
-		mem:  emu.NewMemory(),
 		hier: memsys.New(cfg.Mem),
 		bp:   bpred.New(cfg.Bpred),
 		rob:  make([]robEntry, cfg.ROBSize),
@@ -242,7 +240,7 @@ func New(cfg Config, p *prog.Program) *Core {
 	c.resetIQ()
 	c.initEvents(1024)
 	if cfg.Boot == nil {
-		p.InitialData(func(addr uint64, b byte) { c.mem.StoreByte(addr, b) })
+		c.mem = emu.ProgramMemory(p)
 	}
 
 	c.rfInt = regfile.New(cfg.IntRegs)
@@ -596,41 +594,4 @@ func (c *Core) sampleOccupancy() {
 		}
 		c.stats.Occupancy[k][n]++
 	}
-}
-
-// DebugDump renders the stuck-state diagnostics used while developing the
-// simulator: ROB head, issue queue and queue occupancies.
-func (c *Core) DebugDump() string {
-	s := fmt.Sprintf("cycle=%d committed=%d robCount=%d iq=%d lq=%d sq=%d fetchQ=%d fetchPC=%#x resumeAt=%d halted=%v\n",
-		c.cycle, c.stats.Committed, c.robCount, c.iqCount, c.lqCnt, c.sqCnt, c.fqCount, c.fetchPC, c.fetchResumeAt, c.fetchHalted)
-	for i := 0; i < c.robCount && i < 6; i++ {
-		e := &c.rob[c.robIdxAt(i)]
-		s += fmt.Sprintf("  rob[%d] seq=%d pc=%#x %v completed=%v exc=%d micro=%v\n", i, e.seq, e.pc, c.instAt(e.idx), e.completed, e.exc, e.micro)
-	}
-	var slots []int32
-	for i := range c.iqPool {
-		if c.iqPool[i].active {
-			slots = append(slots, int32(i))
-		}
-	}
-	sort.Slice(slots, func(a, b int) bool { return c.iqPool[slots[a]].seq < c.iqPool[slots[b]].seq })
-	for i, idx := range slots {
-		if i >= 8 {
-			break
-		}
-		ent := &c.iqPool[idx]
-		s += fmt.Sprintf("  iq[%d] seq=%d pc=%#x %v srcs=[%v %v] fu=%v ready=%v\n", i, ent.seq, ent.pc, c.instAt(ent.idx),
-			ent.src[0], ent.src[1], ent.fu, ent.pending == 0)
-	}
-	s += fmt.Sprintf("  freeInt=%d freeFP=%d\n", c.renI.FreeRegs(), c.renF.FreeRegs())
-	if c.cfg.Scheme == Reuse {
-		for l := 0; l < 8; l++ {
-			s += fmt.Sprintf("  int map x%d: %+v\n", l, c.renI.PeekSrc(uint8(l)))
-		}
-	}
-	s += fmt.Sprintf("  events pending: %d\n", c.evPending)
-	for fu, slots := range c.fuBusy {
-		s += fmt.Sprintf("  fu%d busy: %v\n", fu, slots)
-	}
-	return s
 }

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -258,10 +256,6 @@ func (c *Core) processEvents() {
 			continue // squashed
 		}
 		if e.hasDest {
-			if traceReg >= 0 && int(e.dest.Tag.Reg) == traceReg {
-				//repro:allow hotpath traceReg debug path, off by default
-				fmt.Printf("[%d] writeback seq=%d %v -> P%d.%d class=%v\n", c.cycle, e.seq, c.instAt(e.idx), e.dest.Tag.Reg, e.dest.Tag.Ver, e.destClass)
-			}
 			c.rf(e.destClass).Write(e.dest.Tag.Reg, e.dest.Tag.Ver, e.resultVal)
 			c.broadcast(e.destClass, e.dest.Tag, e.resultVal)
 			if t := c.tracker(e.destClass); t != nil {
@@ -338,10 +332,6 @@ func (c *Core) resolveBranch(robIdx int) {
 		return
 	}
 	c.stats.Mispredicts++
-	if traceReg >= 0 {
-		//repro:allow hotpath traceReg debug path, off by default
-		fmt.Printf("[%d] squash after seq=%d pc=%#x\n", c.cycle, e.seq, e.pc)
-	}
 	c.squashAfter(robIdx, actualNext)
 }
 

@@ -399,10 +399,6 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 	if c.o != nil {
 		c.obsRenamed(rec, e.seq, destRes, destClass)
 	}
-	if traceReg >= 0 && destClass != isa.NoReg && destRes.Tag.Reg == rename.PhysReg(traceReg) {
-		//repro:allow hotpath traceReg debug path, off by default
-		fmt.Printf("[%d] seq=%d pc=%#x %v -> dest %+v\n", c.cycle, e.seq, rec.pc, u.Inst[idx], destRes)
-	}
 	if destClass != isa.NoReg {
 		e.hasDest = true
 		e.destClass = destClass
@@ -448,11 +444,6 @@ func (c *Core) dispatchFill(rec *fetchRec, srcs [2]iqSrc, destClass isa.RegClass
 		if c.cfg.DebugInvariants && ent.src[i].used && !ent.src[i].ready {
 			c.assertInFlightProducer(ent.src[i], rec.pc, idx, e.seq)
 		}
-	}
-	if traceSeqLo < traceSeqHi && e.seq >= traceSeqLo && e.seq < traceSeqHi {
-		//repro:allow hotpath trace-window debug path, off by default
-		fmt.Printf("[cyc %d] seq=%d %v srcs=[%v,%v] dest=%v\n",
-			c.cycle, e.seq, u.Inst[idx], ent.src[0], ent.src[1], destRes)
 	}
 	c.finishDispatch(iqSlot)
 	if isLoad {
@@ -662,16 +653,3 @@ func (c *Core) assertInFlightProducer(s iqSrc, pc uint64, idx int32, seq uint64)
 	panic(fmt.Sprintf("pipeline: cycle %d seq %d pc=%#x %v waits on %v tag %+v with no in-flight producer",
 		c.cycle, seq, pc, c.instAt(idx), s.class, s.tag))
 }
-
-// traceReg enables targeted debug tracing of one physical integer register
-// (-1 = off).
-var traceReg = -1
-
-// traceSeqLo/Hi bound a sequence-number window for rename tracing (0,0=off).
-var traceSeqLo, traceSeqHi uint64
-
-// TraceSeqWindow enables rename tracing for seq in [lo, hi).
-func TraceSeqWindow(lo, hi uint64) { traceSeqLo, traceSeqHi = lo, hi }
-
-// TraceReg turns on debug tracing for one physical integer register.
-func TraceReg(p int) { traceReg = p }

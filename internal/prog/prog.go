@@ -7,6 +7,7 @@ package prog
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/isa"
@@ -26,11 +27,35 @@ const (
 	StackTop uint64 = 0x0800_0000
 )
 
+// The initial data image is kept in pages of this size — the same page the
+// emulator's memory uses, so a machine boots by installing page pointers.
+const (
+	PageBits = 12
+	PageSize = 1 << PageBits
+)
+
+// DataPage is one page of a Program's initial data image: page number PN
+// (address >> PageBits) and its contents, uninitialized bytes reading zero.
+// Data is shared by every machine booted from the Program and must never be
+// written.
+type DataPage struct {
+	PN   uint64
+	Data *[PageSize]byte
+	init *initMask
+}
+
+// initMask marks which bytes of one DataPage the program initialized: bit
+// i%64 of word i/64 is set for byte offset i. It keeps InitialData and
+// DataLen exact (an initialized zero byte is distinct from an untouched one)
+// without a per-byte map.
+type initMask [PageSize / 64]uint64
+
 // Program is an immutable loaded program.
 type Program struct {
 	insts   []isa.Inst
 	uops    *UOpTable
-	data    map[uint64]byte
+	pages   []DataPage // ascending PN
+	dataLen int
 	symbols map[string]uint64
 	entry   uint64
 }
@@ -47,25 +72,72 @@ func New(insts []isa.Inst, data map[uint64]byte, symbols map[string]uint64) (*Pr
 			return nil, fmt.Errorf("prog: instruction %d: %w", i, err)
 		}
 	}
-	// Validate in ascending address order so the error (and therefore the
-	// caller-visible behavior) does not depend on map iteration order.
-	addrs := make([]uint64, 0, len(data))
-	for a := range data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	d := make(map[uint64]byte, len(data))
-	for _, a := range addrs {
-		if a >= TextBase && a < TextBase+uint64(len(insts)*isa.InstBytes) {
-			return nil, fmt.Errorf("prog: data byte at %#x overlaps text", a)
-		}
-		d[a] = data[a]
+	pages, err := buildImage(data, TextBase+uint64(len(insts)*isa.InstBytes))
+	if err != nil {
+		return nil, err
 	}
 	s := make(map[string]uint64, len(symbols))
 	for k, v := range symbols {
 		s[k] = v
 	}
-	return &Program{insts: insts, uops: buildUOps(insts), data: d, symbols: s, entry: TextBase}, nil
+	return &Program{
+		insts: insts, uops: buildUOps(insts),
+		pages: pages, dataLen: len(data),
+		symbols: s, entry: TextBase,
+	}, nil
+}
+
+// buildImage lays the initialized bytes out as ascending pages. Each byte
+// lands in its own slot, so filling the pages in map order is harmless; the
+// text-overlap check then scans the finished image in ascending address
+// order, so the reported byte does not depend on map iteration order.
+func buildImage(data map[uint64]byte, textEnd uint64) ([]DataPage, error) {
+	present := make(map[uint64]bool)
+	for a := range data {
+		present[a>>PageBits] = true
+	}
+	pns := make([]uint64, 0, len(present))
+	for pn := range present {
+		pns = append(pns, pn)
+	}
+	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	pages := make([]DataPage, len(pns))
+	byPN := make(map[uint64]*DataPage, len(pns))
+	for i, pn := range pns {
+		pages[i] = DataPage{PN: pn, Data: new([PageSize]byte), init: new(initMask)}
+		byPN[pn] = &pages[i]
+	}
+	for a, b := range data {
+		pg := byPN[a>>PageBits]
+		off := a & (PageSize - 1)
+		pg.Data[off] = b
+		pg.init[off/64] |= 1 << (off % 64)
+	}
+	var err error
+	eachInit(pages, func(a uint64, _ byte) {
+		if err == nil && a >= TextBase && a < textEnd {
+			err = fmt.Errorf("prog: data byte at %#x overlaps text", a)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pages, nil
+}
+
+// eachInit calls fn for every initialized byte of the image in ascending
+// address order.
+func eachInit(pages []DataPage, fn func(addr uint64, b byte)) {
+	for _, pg := range pages {
+		base := pg.PN << PageBits
+		for w, m := range pg.init {
+			for m != 0 {
+				off := uint64(w*64 + bits.TrailingZeros64(m))
+				fn(base+off, pg.Data[off])
+				m &= m - 1
+			}
+		}
+	}
 }
 
 // Entry returns the entry-point PC.
@@ -115,18 +187,15 @@ func (p *Program) Symbols() []string {
 }
 
 // InitialData invokes fn for every initialized data byte in ascending
-// address order, so consumers (memory boot, checkpoint digests) observe a
-// deterministic sequence.
-func (p *Program) InitialData(fn func(addr uint64, b byte)) {
-	addrs := make([]uint64, 0, len(p.data))
-	for a := range p.data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fn(a, p.data[a])
-	}
-}
+// address order, so consumers (checkpoint digests) observe a deterministic
+// sequence.
+func (p *Program) InitialData(fn func(addr uint64, b byte)) { eachInit(p.pages, fn) }
 
 // DataLen returns the number of initialized data bytes.
-func (p *Program) DataLen() int { return len(p.data) }
+func (p *Program) DataLen() int { return p.dataLen }
+
+// DataPages returns the initial data image as pages in ascending PN order.
+// The slice and every page it points to are shared by all machines booted
+// from p; callers must treat both as read-only (emu.Memory installs the
+// pages copy-on-write).
+func (p *Program) DataPages() []DataPage { return p.pages }

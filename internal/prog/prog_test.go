@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -78,6 +80,56 @@ func TestSymbolsSortedAndData(t *testing.T) {
 	}
 	if p.DataLen() != 2 {
 		t.Errorf("DataLen = %d", p.DataLen())
+	}
+}
+
+// TestDataImage: initialized bytes — zero-valued ones included — land in
+// ascending pages, and InitialData walks exactly them in address order.
+func TestDataImage(t *testing.T) {
+	data := map[uint64]byte{
+		DataBase + PageSize + 7: 0x11,
+		DataBase:                0,
+		DataBase + 3:            0xFF,
+		HeapBase - 1:            0x22,
+	}
+	p, err := New([]isa.Inst{{Op: isa.HALT}}, data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []uint64
+	p.InitialData(func(a uint64, b byte) {
+		if data[a] != b {
+			t.Errorf("byte %#x = %#x, want %#x", a, b, data[a])
+		}
+		addrs = append(addrs, a)
+	})
+	want := []uint64{DataBase, DataBase + 3, DataBase + PageSize + 7, HeapBase - 1}
+	if fmt.Sprint(addrs) != fmt.Sprint(want) || p.DataLen() != len(want) {
+		t.Errorf("InitialData visits %#x (DataLen %d), want %#x", addrs, p.DataLen(), want)
+	}
+	pages := p.DataPages()
+	if len(pages) != 3 || pages[0].PN != DataBase>>PageBits || pages[1].PN != pages[0].PN+1 ||
+		pages[2].PN != (HeapBase-1)>>PageBits {
+		t.Fatalf("pages = %+v", pages)
+	}
+	if pages[0].Data[3] != 0xFF || pages[1].Data[7] != 0x11 || pages[2].Data[PageSize-1] != 0x22 {
+		t.Error("page contents do not match the initialized bytes")
+	}
+}
+
+// TestOverlapReportsLowestAddress: with several data bytes inside the text
+// section, the error names the lowest one regardless of map order.
+func TestOverlapReportsLowestAddress(t *testing.T) {
+	insts := make([]isa.Inst, 8)
+	for i := range insts {
+		insts[i] = isa.Inst{Op: isa.HALT}
+	}
+	data := map[uint64]byte{TextBase + 20: 1, TextBase + 4: 2, TextBase + 12: 3}
+	for i := 0; i < 20; i++ {
+		_, err := New(insts, data, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", TextBase+4)) {
+			t.Fatalf("error = %v, want one naming %#x", err, TextBase+4)
+		}
 	}
 }
 

@@ -64,10 +64,11 @@ type Workload struct {
 }
 
 // progCache memoizes assembled programs keyed by source text. Generators
-// are deterministic, Program is immutable, and the emulator copies the data
-// image into its own memory, so a cached instance is safe to share across
-// goroutines. Without this cache every figure/regression pass re-assembles
-// the full suite, which dominates the streaming analysis path.
+// are deterministic, Program is immutable, and machines install its data
+// image copy-on-write without ever writing it, so a cached instance is
+// safe to share across goroutines. Without this cache every
+// figure/regression pass re-assembles the full suite, which dominates the
+// streaming analysis path.
 var progCache sync.Map // source string -> *prog.Program
 
 // Program assembles the workload (memoized per source). Generated sources
@@ -136,25 +137,38 @@ func All() []Workload { return atScale(4) }
 // (tens of thousands of dynamic instructions each).
 func Small() []Workload { return atScale(1) }
 
-// scaleCache memoizes generated workload sets per scale: the generators
-// synthesize source text line by line and re-running all of them per
-// figure pass costs more than the analysis itself. Workload is a value
-// struct of immutable fields, so handing out copies of cached entries is
-// safe; atScale copies the slice so callers may reorder it freely.
-var scaleCache sync.Map // scale int -> []Workload
+// generated memoizes generator output per (workload, scale): the
+// generators synthesize source text line by line, and re-running them per
+// figure pass, per sweep job or per spec validation costs more than the
+// analysis itself. Workload is a value struct of immutable fields, so
+// handing out copies of cached entries is safe.
+var generated sync.Map // scale int -> []lazyWorkload, one per registry entry
 
-func atScale(scale int) []Workload {
-	cached, ok := scaleCache.Load(scale)
+// lazyWorkload is one registry entry's workload at one scale, generated on
+// first use.
+type lazyWorkload struct {
+	once sync.Once
+	w    Workload
+}
+
+// gen returns registry entry i at the given scale, generating it at most
+// once per process.
+func gen(i, scale int) Workload {
+	v, ok := generated.Load(scale)
 	if !ok {
-		ws := make([]Workload, 0, len(registry))
-		for _, r := range registry {
-			ws = append(ws, r.gen(scale))
-		}
-		cached, _ = scaleCache.LoadOrStore(scale, ws)
+		v, _ = generated.LoadOrStore(scale, make([]lazyWorkload, len(registry)))
 	}
-	src := cached.([]Workload)
-	out := make([]Workload, len(src))
-	copy(out, src)
+	e := &v.([]lazyWorkload)[i]
+	e.once.Do(func() { e.w = registry[i].gen(scale) })
+	return e.w
+}
+
+// atScale returns a fresh slice, so callers may reorder it freely.
+func atScale(scale int) []Workload {
+	out := make([]Workload, len(registry))
+	for i := range registry {
+		out[i] = gen(i, scale)
+	}
 	return out
 }
 
@@ -163,10 +177,7 @@ func atScale(scale int) []Workload {
 func ByName(name string, scale int) (Workload, bool) {
 	for i, r := range registry {
 		if r.name == name {
-			if cached, ok := scaleCache.Load(scale); ok {
-				return cached.([]Workload)[i], true
-			}
-			return r.gen(scale), true
+			return gen(i, scale), true
 		}
 	}
 	return Workload{}, false

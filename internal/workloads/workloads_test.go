@@ -3,10 +3,12 @@ package workloads
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/prog"
 )
 
 // maxInsts bounds any single small-scale workload in tests.
@@ -169,6 +171,68 @@ func TestBinaryEncodingRoundTrip(t *testing.T) {
 			if out != in {
 				t.Fatalf("%s: codec mismatch at %#x: %v vs %v", w.Name, pc, in, out)
 			}
+		}
+	}
+}
+
+// TestByNameMemoized: after the first call, ByName hands back the cached
+// workload instead of re-running the generator (which allocates thousands
+// of times building the source text), at every scale and in any order
+// relative to All/Small.
+func TestByNameMemoized(t *testing.T) {
+	first, _ := ByName("listwalk", 2) // a scale no other test here populates
+	allocs := testing.AllocsPerRun(20, func() {
+		if w, _ := ByName("listwalk", 2); unsafe.StringData(w.Source) != unsafe.StringData(first.Source) {
+			t.Fatal("ByName regenerated the workload")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("repeated ByName allocates %.0f times per call; want 0 (memoized)", allocs)
+	}
+	for _, w := range Small() {
+		got, _ := ByName(w.Name, 1)
+		if unsafe.StringData(got.Source) != unsafe.StringData(w.Source) {
+			t.Errorf("%s: ByName and Small hold different generated sources", w.Name)
+		}
+	}
+}
+
+// TestDataPagesMatchInitialData: every workload's page image holds exactly
+// the initialized bytes InitialData reports, zero elsewhere, in ascending
+// non-repeating pages.
+func TestDataPagesMatchInitialData(t *testing.T) {
+	for _, w := range Small() {
+		p := w.Program()
+		want := map[uint64]byte{}
+		var prev uint64
+		p.InitialData(func(a uint64, b byte) {
+			if len(want) > 0 && a <= prev {
+				t.Fatalf("%s: InitialData not ascending at %#x", w.Name, a)
+			}
+			prev = a
+			want[a] = b
+		})
+		if len(want) != p.DataLen() {
+			t.Fatalf("%s: InitialData yields %d bytes, DataLen %d", w.Name, len(want), p.DataLen())
+		}
+		covered := 0
+		for i, pg := range p.DataPages() {
+			if i > 0 && pg.PN <= p.DataPages()[i-1].PN {
+				t.Fatalf("%s: pages not ascending at PN %#x", w.Name, pg.PN)
+			}
+			for off, b := range pg.Data {
+				a := pg.PN<<prog.PageBits + uint64(off)
+				v, ok := want[a]
+				if ok {
+					covered++
+				}
+				if b != v {
+					t.Fatalf("%s: page byte %#x = %#x, InitialData %#x (initialized %v)", w.Name, a, b, v, ok)
+				}
+			}
+		}
+		if covered != len(want) {
+			t.Fatalf("%s: pages cover %d of %d initialized bytes", w.Name, covered, len(want))
 		}
 	}
 }
