@@ -44,18 +44,25 @@ race:
 # ckpt-tests names the fast-forward correctness gates explicitly: the
 # checkpoint store round-trip, the snapshot round-trip, the strongest
 # check — checkpoint-booted runs reproduce an uninterrupted run's committed
-# stream and final architectural state bit-exactly — and the copy-on-write
-# boot path: pinned program digests, the shared data image (equal to
-# InitialData, never written by any run), memory isolation between clones,
-# page-bounded load cost, and concurrent boots from one stored snapshot
-# under the race detector.
+# stream and final architectural state bit-exactly — the copy-on-write
+# boot path (pinned program digests, the shared data image equal to
+# InitialData and never written by any run, memory isolation between
+# clones, page-bounded load cost, concurrent boots from one stored snapshot
+# under the race detector), and recycled interval cores: Core.Reset leaves
+# a dirty core identical to New and simulating identically, a reset
+# interval allocates under a tenth of a new one, sampling reuses its warmup
+# buffers, and concurrent sampled intervals on recycled cores match a
+# serial run bit for bit under the race detector.
 ckpt-tests:
-	$(GO) test -run 'TestStoreRoundTrip|TestPrepare|TestSampleFunctional|TestProgramDigestPinned' ./internal/ckpt/
+	$(GO) test -run 'TestStoreRoundTrip|TestPrepare|TestSampleFunctional|TestProgramDigestPinned|TestSampleNDeterminism|TestSampleNReusesWarmupBuffers' ./internal/ckpt/
 	$(GO) test -run 'TestSnapshotRestoreRoundTrip|TestStepNMatchesStep|TestCopyOnWriteIsolation|TestFreezeMakesCloneReadOnly|TestNewAllocsBoundedByPages' ./internal/emu/
 	$(GO) test -run 'TestDataImage|TestOverlapReportsLowestAddress' ./internal/prog/
-	$(GO) test -run 'TestDataPagesMatchInitialData|TestByNameMemoized' ./internal/workloads/
-	$(GO) test -run 'TestCheckpointResumeEquivalence|TestDataImageNeverWritten' ./internal/pipeline/
+	$(GO) test -run 'TestDataPagesMatchInitialData|TestByNameMemoized|TestHashJoinScale3' ./internal/workloads/
+	$(GO) test ./internal/recycle/
+	$(GO) test -run 'TestCheckpointResumeEquivalence|TestDataImageNeverWritten|TestResetMatchesNew|TestResetAllocs' ./internal/pipeline/
 	$(GO) test -race -run 'TestConcurrentBootFromStoredSnapshot' ./internal/pipeline/
+	$(GO) test -race -run 'TestSampledRecycledCoresConcurrent' ./internal/sweep/
+	$(GO) test -race -run 'TestSampledWorkersDeterminism' .
 
 # smoke exercises the command-line surfaces end-to-end over a tiny
 # workload: the pipeline view, the Chrome trace export and the JSON run

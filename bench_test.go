@@ -295,9 +295,11 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 // BenchmarkBoot measures the boot layer on its own, on listwalk at reference
 // scale (the suite's largest data image): loading the program into a
 // functional machine (emu.New), snapshotting a machine mid-run, and booting
-// a detailed core from that snapshot (pipeline.New with Config.Boot). All
-// three install shared pages copy-on-write, so with -benchmem the
-// allocations track the page count, not the initialized byte count.
+// a detailed core from that snapshot (pipeline.New with Config.Boot), and
+// re-booting a recycled core from it (Core.Reset, as sampled intervals do).
+// All of them install shared pages copy-on-write, so with -benchmem the
+// allocations track the page count, not the initialized byte count; Reset
+// reuses every array New allocates.
 // BenchmarkFastForward and BenchmarkEmulatorThroughput include one emu.New
 // per iteration in their rates. Sub-benchmark names carry no dots, which
 // would split the regress evidence paths built from them.
@@ -326,6 +328,14 @@ func BenchmarkBoot(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pipeline.New(cfg, p)
+		}
+	})
+	b.Run("pipeline_reset", func(b *testing.B) {
+		c := pipeline.New(cfg, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Reset(cfg, p)
 		}
 	})
 }

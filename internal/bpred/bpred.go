@@ -6,7 +6,10 @@
 // call-heavy code thrashes).
 package bpred
 
-import "repro/internal/isa"
+import (
+	"repro/internal/isa"
+	"repro/internal/recycle"
+)
 
 // Kind selects the direction-prediction algorithm.
 type Kind int
@@ -57,24 +60,32 @@ type Predictor struct {
 
 // New creates a predictor with all counters weakly not-taken.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset puts p into the state New(cfg) builds — counters weakly not-taken,
+// empty BTB, RAS and history — reusing its tables when they are large
+// enough.
+func (p *Predictor) Reset(cfg Config) {
 	if cfg.GshareBits == 0 || cfg.BTBEntries <= 0 || cfg.RASEntries <= 0 {
 		panic("bpred: invalid config")
 	}
-	p := &Predictor{
+	*p = Predictor{
 		cfg:     cfg,
-		pht:     make([]uint8, 1<<cfg.GshareBits),
-		bim:     make([]uint8, 1<<cfg.GshareBits),
-		chooser: make([]uint8, 1<<cfg.GshareBits),
-		btbTag:  make([]uint64, cfg.BTBEntries),
-		btbTgt:  make([]uint64, cfg.BTBEntries),
-		ras:     make([]uint64, cfg.RASEntries),
+		pht:     recycle.Zeroed(p.pht, 1<<cfg.GshareBits),
+		bim:     recycle.Zeroed(p.bim, 1<<cfg.GshareBits),
+		chooser: recycle.Zeroed(p.chooser, 1<<cfg.GshareBits),
+		btbTag:  recycle.Zeroed(p.btbTag, cfg.BTBEntries),
+		btbTgt:  recycle.Zeroed(p.btbTgt, cfg.BTBEntries),
+		ras:     recycle.Zeroed(p.ras, cfg.RASEntries),
 	}
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not taken
 		p.bim[i] = 1
 		p.chooser[i] = 2 // weakly prefer gshare
 	}
-	return p
 }
 
 func (p *Predictor) bimIndex(pc uint64) uint64 {

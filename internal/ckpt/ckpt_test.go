@@ -1,8 +1,10 @@
 package ckpt
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -64,6 +66,8 @@ func TestProgramDigestPinned(t *testing.T) {
 		{"dgemm", 1, "2ed9e4b5679ef1a85f2ff1aec5e19fff6738fdf5c1562098f694f9f78832410a"},
 		{"listwalk", 4, "b56e8dcbc0a929a1a8daa9fd6d430e02ee97e981f9b975b9a5852e4e4dc07c9a"},
 		{"hashjoin", 1, "6880a2884815fe74036f6bf3bb1dcdac0fa9d5307506890d4842bbbbef8ea96b"},
+		{"hashjoin", 2, "188a86c8f7aa2fcf96fa62a876359798f3e9e1bef03050777c9356b72c6e153b"},
+		{"hashjoin", 4, "18fcd2354eb6232ef73f5b032ee36e85a23049bae8a29d70d0d4a10253c03c31"},
 	} {
 		if got := ProgramDigest(assemble(t, c.name, c.scale)).String(); got != c.want {
 			t.Errorf("%s@%d: digest %s, want %s", c.name, c.scale, got, c.want)
@@ -332,6 +336,51 @@ func TestSampleNDeterminism(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		if got := sampleWith(workers); *got != *want {
 			t.Errorf("workers=%d: estimate %+v != serial %+v", workers, got, want)
+		}
+	}
+}
+
+// TestSampleNReusesWarmupBuffers pins the warmup-buffer recycling: however
+// many intervals a run samples, it fills at most 2*workers distinct warmup
+// buffers, and every interval still sees exactly its own trace — the
+// commits immediately preceding its boot point, ending at the boot PC.
+func TestSampleNReusesWarmupBuffers(t *testing.T) {
+	p := assemble(t, "dgemm", 1)
+	plan := Plan{Warmup: 200, Detail: 500, Interval: 3000}
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		buffers := map[*emu.Commit]bool{}
+		run := func(bs *BootState, warmup, detail uint64) (IntervalStats, error) {
+			w := bs.Warmup
+			if uint64(len(w)) != plan.Warmup {
+				return IntervalStats{}, fmt.Errorf("warmup trace has %d commits, want %d", len(w), plan.Warmup)
+			}
+			if first := w[0].Seq; first != bs.Boot.InstCount-plan.Warmup {
+				return IntervalStats{}, fmt.Errorf("warmup starts at seq %d, want %d", first, bs.Boot.InstCount-plan.Warmup)
+			}
+			for i := 1; i < len(w); i++ {
+				if w[i].Seq != w[i-1].Seq+1 || w[i].PC != w[i-1].NextPC {
+					return IntervalStats{}, fmt.Errorf("warmup trace breaks at entry %d", i)
+				}
+			}
+			if w[len(w)-1].NextPC != bs.Boot.PC {
+				return IntervalStats{}, fmt.Errorf("warmup ends at %#x, boot PC %#x", w[len(w)-1].NextPC, bs.Boot.PC)
+			}
+			mu.Lock()
+			buffers[&w[0]] = true
+			mu.Unlock()
+			return IntervalStats{Cycles: detail, Insts: detail}, nil
+		}
+		est, _, err := SampleN(p, plan, 0, workers, run)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if est.Samples < 6*workers {
+			t.Fatalf("workers=%d: only %d intervals; want several batches", workers, est.Samples)
+		}
+		if len(buffers) > 2*workers {
+			t.Errorf("workers=%d: %d intervals used %d warmup buffers, want at most %d",
+				workers, est.Samples, len(buffers), 2*workers)
 		}
 	}
 }

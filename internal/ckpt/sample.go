@@ -74,6 +74,10 @@ type IntervalStats struct {
 // reports only the measured region's timing (the stats delta across the
 // boundary). Implementations live above ckpt (the sweep runner, the public
 // API) so this package stays free of pipeline dependencies.
+//
+// An implementation must not keep bs.Warmup, or any slice of it, after it
+// returns: SampleN reuses the buffer for a later interval's warmup capture.
+// (pipeline.New and Core.Reset replay the trace and drop it.)
 type RunDetail func(bs *BootState, warmup, detail uint64) (IntervalStats, error)
 
 // Estimate is a sampled run's result: population statistics across the
@@ -144,7 +148,9 @@ type intervalJob struct {
 //
 // Batches hold at most 2*workers intervals so at most that many memory
 // snapshots are alive at once; run must be safe for concurrent calls when
-// workers > 1 (each call gets its own BootState).
+// workers > 1 (each call gets its own BootState). A flushed batch's warmup
+// buffers are reused for the next batch's captures, so a run allocates at
+// most 2*workers of them however many intervals it samples.
 func SampleN(p *prog.Program, plan Plan, maxInsts uint64, workers int, run RunDetail) (*Estimate, *emu.Snapshot, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, nil, err
@@ -162,6 +168,8 @@ func SampleN(p *prog.Program, plan Plan, maxInsts uint64, workers int, run RunDe
 	var ipcs, reuses []float64
 
 	batch := make([]intervalJob, 0, 2*workers)
+	// spare holds flushed intervals' warmup buffers, emptied, for reuse.
+	var spare [][]emu.Commit
 	// flush simulates every captured interval (concurrently when workers > 1)
 	// and folds the results into the estimate in interval-index order. Errors
 	// are reported for the earliest failing interval, matching what a serial
@@ -185,7 +193,11 @@ func SampleN(p *prog.Program, plan Plan, maxInsts uint64, workers int, run RunDe
 				reuses = append(reuses, float64(st.ReuseHits)/float64(st.Insts))
 				est.DetailInsts += st.Insts
 			}
+			if w := batch[i].bs.Warmup; w != nil {
+				spare = append(spare, w[:0])
+			}
 		}
+		clear(batch)
 		batch = batch[:0]
 		return nil
 	}
@@ -200,7 +212,11 @@ func SampleN(p *prog.Program, plan Plan, maxInsts uint64, workers int, run RunDe
 
 		bs := &BootState{}
 		if plan.Warmup > 0 {
-			bs.Warmup = make([]emu.Commit, 0, plan.Warmup)
+			if n := len(spare); n > 0 {
+				bs.Warmup, spare = spare[n-1], spare[:n-1]
+			} else {
+				bs.Warmup = make([]emu.Commit, 0, plan.Warmup)
+			}
 			if _, err := s.Run(minU64(plan.Warmup, maxInsts-s.InstCount()), func(c emu.Commit) {
 				bs.Warmup = append(bs.Warmup, c)
 			}); err != nil {

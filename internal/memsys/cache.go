@@ -6,7 +6,11 @@
 // state (tags, LRU, dirty bits, open rows) evolves with each access.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/recycle"
+)
 
 // LineBytes is the cache line size used throughout (Table I: 64 bytes).
 const LineBytes = 64
@@ -43,6 +47,14 @@ type Cache struct {
 
 // NewCache validates the geometry and builds an empty cache.
 func NewCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset puts c into the state NewCache(cfg) builds — every line invalid,
+// counters cleared — reusing its line array when it is large enough.
+func (c *Cache) Reset(cfg CacheConfig) {
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 || cfg.SizeBytes%(cfg.Assoc*LineBytes) != 0 {
 		panic(fmt.Sprintf("memsys: bad cache geometry %+v", cfg))
 	}
@@ -50,7 +62,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("memsys: %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	return &Cache{cfg: cfg, sets: sets, lines: make([]cacheLine, sets*cfg.Assoc)}
+	*c = Cache{cfg: cfg, sets: sets, lines: recycle.Zeroed(c.lines, sets*cfg.Assoc)}
 }
 
 func (c *Cache) setOf(addr uint64) int {

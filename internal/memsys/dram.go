@@ -1,5 +1,7 @@
 package memsys
 
+import "repro/internal/recycle"
+
 // DRAMConfig models a DDR3-1600-style part at the granularity that matters
 // for a CPU study: open-row hits vs row conflicts, per-bank serialization,
 // and a fixed controller overhead. Timings are expressed in CPU cycles
@@ -45,11 +47,20 @@ type DRAM struct {
 
 // NewDRAM builds the bank state.
 func NewDRAM(cfg DRAMConfig) *DRAM {
+	d := &DRAM{}
+	d.Reset(cfg)
+	return d
+}
+
+// Reset puts d into the state NewDRAM(cfg) builds — no open rows, every
+// bank idle, counters cleared — reusing its bank array when it is large
+// enough.
+func (d *DRAM) Reset(cfg DRAMConfig) {
 	n := cfg.Ranks * cfg.BanksPerRank
 	if n <= 0 || cfg.RowBytes == 0 {
 		panic("memsys: bad DRAM config")
 	}
-	return &DRAM{cfg: cfg, banks: make([]dramBank, n)}
+	*d = DRAM{cfg: cfg, banks: recycle.Zeroed(d.banks, n)}
 }
 
 // Access returns the latency of a memory access beginning at cycle now,

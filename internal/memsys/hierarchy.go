@@ -37,17 +37,43 @@ type Hierarchy struct {
 
 // New builds the hierarchy.
 func New(cfg Config) *Hierarchy {
-	h := &Hierarchy{
-		L1I:  NewCache(cfg.L1I),
-		L1D:  NewCache(cfg.L1D),
-		L2:   NewCache(cfg.L2),
-		TLB:  NewTLB(cfg.TLB),
-		DRAM: NewDRAM(cfg.DRAM),
-	}
-	if cfg.PrefetchDegree > 0 {
-		h.Pref = NewStridePrefetcher(64, cfg.PrefetchDegree)
-	}
+	h := &Hierarchy{}
+	h.Reset(cfg)
 	return h
+}
+
+// Reset puts h into the state New(cfg) builds: every cache, TLB entry and
+// prefetcher slot invalid, every DRAM bank idle, all counters cleared. The
+// level objects and their arrays are reused wherever they are large
+// enough, so resetting for an unchanged cfg allocates nothing.
+func (h *Hierarchy) Reset(cfg Config) {
+	h.L1I = resetCache(h.L1I, cfg.L1I)
+	h.L1D = resetCache(h.L1D, cfg.L1D)
+	h.L2 = resetCache(h.L2, cfg.L2)
+	if h.TLB == nil {
+		h.TLB = &TLB{}
+	}
+	h.TLB.Reset(cfg.TLB)
+	if h.DRAM == nil {
+		h.DRAM = &DRAM{}
+	}
+	h.DRAM.Reset(cfg.DRAM)
+	if cfg.PrefetchDegree <= 0 {
+		h.Pref = nil
+		return
+	}
+	if h.Pref == nil {
+		h.Pref = &StridePrefetcher{}
+	}
+	h.Pref.Reset(64, cfg.PrefetchDegree)
+}
+
+func resetCache(c *Cache, cfg CacheConfig) *Cache {
+	if c == nil {
+		c = &Cache{}
+	}
+	c.Reset(cfg)
+	return c
 }
 
 // fillFromL2 charges the L2 (and DRAM beyond it) for a line fill and

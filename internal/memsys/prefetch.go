@@ -1,5 +1,7 @@
 package memsys
 
+import "repro/internal/recycle"
+
 // StridePrefetcher is a PC-indexed stride prefetcher (Table I: degree 1).
 // Each table entry tracks the last address and stride seen by one load/store
 // PC; after two consistent strides it becomes confident and emits prefetch
@@ -22,13 +24,21 @@ type strideEntry struct {
 
 // NewStridePrefetcher builds a direct-mapped table of the given size.
 func NewStridePrefetcher(tableSize, degree int) *StridePrefetcher {
+	p := &StridePrefetcher{}
+	p.Reset(tableSize, degree)
+	return p
+}
+
+// Reset puts p into the state NewStridePrefetcher(tableSize, degree)
+// builds, reusing its arrays when they are large enough.
+func (p *StridePrefetcher) Reset(tableSize, degree int) {
 	if tableSize <= 0 || degree <= 0 {
 		panic("memsys: bad prefetcher config")
 	}
-	return &StridePrefetcher{
-		entries: make([]strideEntry, tableSize),
+	*p = StridePrefetcher{
+		entries: recycle.Zeroed(p.entries, tableSize),
 		degree:  degree,
-		buf:     make([]uint64, 0, degree),
+		buf:     recycle.Empty(p.buf, degree),
 	}
 }
 

@@ -1,5 +1,7 @@
 package memsys
 
+import "repro/internal/recycle"
+
 // TLBConfig sizes the fully-associative L1 TLB (Table I: 48 entries) and the
 // page-walk cost charged on a miss.
 type TLBConfig struct {
@@ -32,10 +34,18 @@ type TLB struct {
 
 // NewTLB builds an empty TLB.
 func NewTLB(cfg TLBConfig) *TLB {
+	t := &TLB{}
+	t.Reset(cfg)
+	return t
+}
+
+// Reset puts t into the state NewTLB(cfg) builds, reusing its entry array
+// when it is large enough.
+func (t *TLB) Reset(cfg TLBConfig) {
 	if cfg.Entries <= 0 || cfg.PageBytes == 0 {
 		panic("memsys: bad TLB config")
 	}
-	return &TLB{cfg: cfg, entries: make([]tlbEntry, cfg.Entries)}
+	*t = TLB{cfg: cfg, entries: recycle.Zeroed(t.entries, cfg.Entries)}
 }
 
 // Access translates addr, returning the extra latency (0 on a hit, the walk

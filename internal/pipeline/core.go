@@ -9,6 +9,7 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/prog"
+	"repro/internal/recycle"
 	"repro/internal/regfile"
 	"repro/internal/rename"
 )
@@ -214,50 +215,92 @@ type Core struct {
 	oracleErr error
 }
 
-// New builds a core running p under cfg.
+// New builds a core running p under cfg. It is Reset on a zero Core, so
+// the two can never disagree about the initial state.
 func New(cfg Config, p *prog.Program) *Core {
-	c := &Core{
+	c := &Core{}
+	c.Reset(cfg, p)
+	return c
+}
+
+// Reset puts c into exactly the state New(cfg, p) builds, whatever c ran
+// before, so callers that build many short-lived cores (sampled intervals)
+// can recycle one instead. Every array whose size depends only on cfg — the
+// caches, predictor tables, register files, renamer tables, ROB, IQ,
+// LSQ and fetch rings, writeback buckets, waiter lists and FU table — is
+// reused when it is large enough and rebuilt otherwise; every other field
+// starts from its zero value. The Stats, RenStats and Hierarchy of the
+// previous run are overwritten, so read them before resetting.
+func (c *Core) Reset(cfg Config, p *prog.Program) {
+	c.reclaimCkpts()
+	old := *c
+	*c = Core{
 		cfg:  cfg,
 		prog: p,
 		uops: p.UOps(),
-		hier: memsys.New(cfg.Mem),
-		bp:   bpred.New(cfg.Bpred),
-		rob:  make([]robEntry, cfg.ROBSize),
+		hier: old.hier,
+		bp:   old.bp,
+		rob:  recycle.Zeroed(old.rob, cfg.ROBSize),
 
-		iqPool:    make([]iqEntry, cfg.IQSize),
-		iqFree:    make([]int32, 0, cfg.IQSize),
-		readyList: make([]int32, 0, cfg.IQSize),
-		squashBuf: make([]int32, 0, cfg.IQSize),
-		lq:        make([]lqEntry, cfg.LQSize),
-		sq:        make([]sqEntry, cfg.SQSize),
-		fetchQ:    make([]fetchRec, cfg.FetchQSize),
+		iqPool:    recycle.Zeroed(old.iqPool, cfg.IQSize),
+		iqFree:    recycle.Empty(old.iqFree, cfg.IQSize),
+		readyList: recycle.Empty(old.readyList, cfg.IQSize),
+		squashBuf: recycle.Empty(old.squashBuf, cfg.IQSize),
+		lq:        recycle.Zeroed(old.lq, cfg.LQSize),
+		sq:        recycle.Zeroed(old.sq, cfg.SQSize),
+		fetchQ:    recycle.Zeroed(old.fetchQ, cfg.FetchQSize),
+		evRing:    recycle.Lists(old.evRing, evRingSize),
 
 		fetchPC:      p.Entry(),
 		nextCommitPC: p.Entry(),
-		pagePresent:  make(map[uint64]bool),
+		pagePresent:  old.pagePresent,
 		o:            cfg.Observer,
 	}
+	if c.hier == nil {
+		c.hier, c.bp = &memsys.Hierarchy{}, &bpred.Predictor{}
+	}
+	c.hier.Reset(cfg.Mem)
+	c.bp.Reset(cfg.Bpred)
+	if c.pagePresent == nil {
+		c.pagePresent = make(map[uint64]bool)
+	}
+	clear(c.pagePresent)
 	c.resetIQ()
-	c.initEvents(1024)
 	if cfg.Boot == nil {
 		c.mem = emu.ProgramMemory(p)
 	}
 
-	c.rfInt = regfile.New(cfg.IntRegs)
-	c.rfFP = regfile.New(cfg.FPRegs)
+	c.rfInt, c.rfFP = old.rfInt, old.rfFP
+	if c.rfInt == nil {
+		c.rfInt, c.rfFP = &regfile.File{}, &regfile.File{}
+	}
+	c.rfInt.Reset(cfg.IntRegs)
+	c.rfFP.Reset(cfg.FPRegs)
 	switch cfg.Scheme {
 	case Baseline:
-		c.baseI = rename.NewBaseline(isa.NumIntRegs, c.rfInt)
-		c.baseF = rename.NewBaseline(isa.NumFPRegs, c.rfFP)
+		c.baseI, c.baseF = old.baseI, old.baseF
+		if c.baseI == nil {
+			c.baseI, c.baseF = &rename.BaselineRenamer{}, &rename.BaselineRenamer{}
+		}
+		c.baseI.Reset(isa.NumIntRegs, c.rfInt)
+		c.baseF.Reset(isa.NumFPRegs, c.rfFP)
 		c.renI, c.renF = c.baseI, c.baseF
 	case Reuse:
-		c.typePred = rename.NewTypePredictor(cfg.PredictorSize)
-		c.reuseI = rename.NewReuse(cfg.ReuseCfg, isa.NumIntRegs, c.rfInt, c.typePred)
-		c.reuseF = rename.NewReuse(cfg.ReuseCfg, isa.NumFPRegs, c.rfFP, c.typePred)
+		c.typePred, c.reuseI, c.reuseF = old.typePred, old.reuseI, old.reuseF
+		if c.reuseI == nil {
+			c.typePred, c.reuseI, c.reuseF = &rename.TypePredictor{}, &rename.ReuseRenamer{}, &rename.ReuseRenamer{}
+		}
+		c.typePred.ResetTable(cfg.PredictorSize)
+		c.reuseI.Reset(cfg.ReuseCfg, isa.NumIntRegs, c.rfInt, c.typePred)
+		c.reuseF.Reset(cfg.ReuseCfg, isa.NumFPRegs, c.rfFP, c.typePred)
 		c.renI, c.renF = c.reuseI, c.reuseF
 	case EarlyRelease:
-		c.earlyI = rename.NewEarly(isa.NumIntRegs, c.rfInt)
-		c.earlyF = rename.NewEarly(isa.NumFPRegs, c.rfFP)
+		c.earlyI, c.earlyF = old.earlyI, old.earlyF
+		if c.earlyI == nil {
+			c.earlyI, c.earlyF = &rename.EarlyRenamer{}, &rename.EarlyRenamer{}
+		}
+		c.earlyI.Reset(isa.NumIntRegs, c.rfInt)
+		c.earlyF.Reset(isa.NumFPRegs, c.rfFP)
 		c.renI, c.renF = c.earlyI, c.earlyF
 		c.trackI, c.trackF = c.earlyI, c.earlyF
 	}
@@ -266,11 +309,11 @@ func New(cfg Config, p *prog.Program) *Core {
 	c.rfInt.Write(29, 0, prog.StackTop)
 
 	// Wakeup waiter lists, one per (physical register, version) tag.
-	c.waiters[0] = make([][]iqWaiter, c.rfInt.Size()*(regfile.MaxShadow+1))
-	c.waiters[1] = make([][]iqWaiter, c.rfFP.Size()*(regfile.MaxShadow+1))
+	c.waiters[0] = recycle.Lists(old.waiters[0], c.rfInt.Size()*(regfile.MaxShadow+1))
+	c.waiters[1] = recycle.Lists(old.waiters[1], c.rfFP.Size()*(regfile.MaxShadow+1))
 
 	for fu := 0; fu < isa.NumFUs; fu++ {
-		c.fuBusy[fu] = make([]uint64, cfg.FUCount[fu])
+		c.fuBusy[fu] = recycle.Zeroed(old.fuBusy[fu], cfg.FUCount[fu])
 	}
 	if cfg.InterruptEvery > 0 {
 		c.nextInterrupt = cfg.InterruptEvery
@@ -280,12 +323,12 @@ func New(cfg Config, p *prog.Program) *Core {
 		if n <= 0 {
 			n = 1024
 		}
-		c.memWait = make([]bool, n)
+		c.memWait = recycle.Zeroed(old.memWait, n)
 		c.memWaitClear = cfg.MemWaitClearEvery
 	}
 	if cfg.OccupancySampleInterval > 0 {
 		for k := range c.stats.Occupancy {
-			c.stats.Occupancy[k] = make([]uint64, cfg.IntRegs.Total()+cfg.FPRegs.Total()+1)
+			c.stats.Occupancy[k] = recycle.Zeroed(old.stats.Occupancy[k], cfg.IntRegs.Total()+cfg.FPRegs.Total()+1)
 		}
 	}
 	if cfg.CheckOracle {
@@ -296,13 +339,26 @@ func New(cfg Config, p *prog.Program) *Core {
 		}
 	}
 	if cfg.MeasureLifetimes {
-		c.lastRead[0] = make([]uint64, cfg.IntRegs.Total())
-		c.lastRead[1] = make([]uint64, cfg.FPRegs.Total())
+		c.lastRead[0] = recycle.Zeroed(old.lastRead[0], cfg.IntRegs.Total())
+		c.lastRead[1] = recycle.Zeroed(old.lastRead[1], cfg.FPRegs.Total())
 	}
 	if cfg.Boot != nil {
 		c.bootFrom(cfg.Boot, cfg.BootWarmup)
 	}
-	return c
+	// The warmup trace is consumed by bootFrom and not kept, so the caller
+	// may reuse its buffer as soon as New or Reset returns.
+	c.cfg.BootWarmup = nil
+}
+
+// reclaimCkpts returns the renamer snapshots still held by in-flight
+// branches to their renamers' pools, as a squash would, so a reset core
+// reuses them instead of allocating new ones.
+func (c *Core) reclaimCkpts() {
+	for i := 0; i < c.robCount; i++ {
+		if e := &c.rob[c.robIdxAt(i)]; e.isBranch {
+			c.releaseCkpts(e)
+		}
+	}
 }
 
 func (c *Core) ren(class isa.RegClass) rename.Renamer {

@@ -141,12 +141,10 @@ func (c *Core) finishDispatch(slot int32) {
 
 // ---- writeback event ring ----
 
-// initEvents sizes the calendar ring. The size only needs to exceed the
-// longest writeback latency in flight; schedule grows it on demand.
-func (c *Core) initEvents(size int) {
-	c.evRing = make([][]wbEvent, size)
-	c.evPending = 0
-}
+// evRingSize is the calendar ring's initial bucket count. It only needs to
+// exceed the longest writeback latency in flight; schedule grows the ring
+// on demand.
+const evRingSize = 1024
 
 // schedule files ev for the given future cycle. The ring is indexed by
 // cycle & (len-1); the invariant that every pending event is less than one

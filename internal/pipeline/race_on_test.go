@@ -1,0 +1,6 @@
+//go:build race
+
+package pipeline
+
+// raceEnabled reports a -race build; see TestResetMatchesNew.
+const raceEnabled = true

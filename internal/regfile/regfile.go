@@ -12,7 +12,11 @@
 //repro:deterministic
 package regfile
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/recycle"
+)
 
 // MaxShadow is the maximum number of shadow cells per register: a 2-bit
 // version counter distinguishes up to four versions (§IV-A), i.e. the main
@@ -69,23 +73,31 @@ type File struct {
 // New builds a file with the given bank sizes. Registers are numbered with
 // bank 0 (no shadows) first, then banks 1..3.
 func New(banks BankSizes) *File {
+	f := &File{}
+	f.Reset(banks)
+	return f
+}
+
+// Reset puts f into the state New(banks) builds: every cell zero at version
+// 0, nothing written, all counters cleared. It reuses f's arrays when they
+// are large enough for banks.Total() registers.
+func (f *File) Reset(banks BankSizes) {
 	n := banks.Total()
 	if n <= 0 {
 		panic("regfile: empty register file")
 	}
-	f := &File{
-		shadows: make([]Ver, 0, n),
-		main:    make([]uint64, n),
-		mainVer: make([]Ver, n),
-		written: make([]bool, n),
-		shadow:  make([][MaxShadow]uint64, n),
+	*f = File{
+		shadows: recycle.Empty(f.shadows, n),
+		main:    recycle.Zeroed(f.main, n),
+		mainVer: recycle.Zeroed(f.mainVer, n),
+		written: recycle.Zeroed(f.written, n),
+		shadow:  recycle.Zeroed(f.shadow, n),
 	}
 	for k := 0; k <= MaxShadow; k++ {
 		for i := 0; i < banks[k]; i++ {
 			f.shadows = append(f.shadows, Ver(k))
 		}
 	}
-	return f
 }
 
 // Size returns the number of physical registers.

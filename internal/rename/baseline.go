@@ -3,6 +3,7 @@ package rename
 import (
 	"fmt"
 
+	"repro/internal/recycle"
 	"repro/internal/regfile"
 )
 
@@ -34,16 +35,30 @@ var _ Renamer = (*BaselineRenamer)(nil)
 // by rf (which must be a uniform 0-shadow file at least numLog+1 large, so
 // renaming can make progress).
 func NewBaseline(numLog int, rf *regfile.File) *BaselineRenamer {
+	b := &BaselineRenamer{}
+	b.Reset(numLog, rf)
+	return b
+}
+
+// Reset puts b into the state NewBaseline(numLog, rf) builds, reusing its
+// arrays where they are large enough. Pooled checkpoints are kept when
+// numLog is unchanged: Checkpoint overwrites every field of a pooled one.
+func (b *BaselineRenamer) Reset(numLog int, rf *regfile.File) {
 	if rf.Size() <= numLog {
 		panic(fmt.Sprintf("rename: register file of %d cannot back %d logical registers", rf.Size(), numLog))
 	}
-	b := &BaselineRenamer{
+	pool := b.ckptPool
+	if numLog != b.numLog {
+		pool = nil
+	}
+	*b = BaselineRenamer{
 		numLog:     numLog,
-		mapTable:   make([]Tag, numLog),
-		retireMap:  make([]Tag, numLog),
-		retireRefs: make([]uint8, rf.Size()),
-		freeList:   newFreeRing(rf.Size()),
+		mapTable:   recycle.Zeroed(b.mapTable, numLog),
+		retireMap:  recycle.Zeroed(b.retireMap, numLog),
+		retireRefs: recycle.Zeroed(b.retireRefs, rf.Size()),
+		freeList:   resetRing(b.freeList, rf.Size()),
 		rf:         rf,
+		ckptPool:   pool,
 	}
 	for l := 0; l < numLog; l++ {
 		t := Tag{Reg: PhysReg(l)}
@@ -55,7 +70,6 @@ func NewBaseline(numLog int, rf *regfile.File) *BaselineRenamer {
 	for p := numLog; p < rf.Size(); p++ {
 		b.freeList.push(PhysReg(p))
 	}
-	return b
 }
 
 // PeekSrc implements Renamer.

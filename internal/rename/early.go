@@ -2,8 +2,8 @@ package rename
 
 import (
 	"fmt"
-	"os"
 
+	"repro/internal/recycle"
 	"repro/internal/regfile"
 )
 
@@ -109,10 +109,6 @@ type EarlyRenamer struct {
 	EarlyReleases uint64
 }
 
-// TraceEarlyReg enables stderr tracing of one register's release events
-// (-1 = off); debug aid.
-var TraceEarlyReg = -1
-
 type armedRelease struct {
 	reg     PhysReg
 	unmapOp uint64
@@ -135,28 +131,46 @@ var (
 // over the banked file rf (registers in shadow banks are the early-release
 // candidates; bank-0 registers fall back to release-at-commit).
 func NewEarly(numLog int, rf *regfile.File) *EarlyRenamer {
+	e := &EarlyRenamer{}
+	e.Reset(numLog, rf)
+	return e
+}
+
+// Reset puts e into the state NewEarly(numLog, rf) builds, reusing its
+// arrays where they are large enough. Pooled checkpoints are kept when
+// numLog and the register count are unchanged: Checkpoint overwrites every
+// field of a pooled one.
+func (e *EarlyRenamer) Reset(numLog int, rf *regfile.File) {
 	if rf.Size() <= numLog {
 		panic(fmt.Sprintf("rename: register file of %d cannot back %d logical registers", rf.Size(), numLog))
 	}
-	e := &EarlyRenamer{
+	n := rf.Size()
+	pool := e.ckptPool
+	if numLog != e.numLog || n != len(e.ctr) {
+		pool = nil
+	}
+	*e = EarlyRenamer{
 		numLog:       numLog,
-		mapTable:     make([]Tag, numLog),
-		retireMap:    make([]Tag, numLog),
-		retireRefs:   make([]uint8, rf.Size()),
+		mapTable:     recycle.Zeroed(e.mapTable, numLog),
+		retireMap:    recycle.Zeroed(e.retireMap, numLog),
+		retireRefs:   recycle.Zeroed(e.retireRefs, n),
 		rf:           rf,
-		ctr:          make([]Ver, rf.Size()),
-		pending:      make([]int32, rf.Size()),
-		unmapped:     make([]bool, rf.Size()),
-		unmapSeq:     make([]uint64, rf.Size()),
-		armed:        make([]bool, rf.Size()),
-		suppress:     make([]uint8, rf.Size()),
-		inRing:       make([]bool, rf.Size()),
-		committedVer: make([]Ver, rf.Size()),
-		committedSet: make([]bool, rf.Size()),
-		archLive:     make([]bool, rf.Size()),
+		ctr:          recycle.Zeroed(e.ctr, n),
+		pending:      recycle.Zeroed(e.pending, n),
+		unmapped:     recycle.Zeroed(e.unmapped, n),
+		unmapSeq:     recycle.Zeroed(e.unmapSeq, n),
+		armed:        recycle.Zeroed(e.armed, n),
+		armedList:    recycle.Empty(e.armedList, 0),
+		suppress:     recycle.Zeroed(e.suppress, n),
+		committedVer: recycle.Zeroed(e.committedVer, n),
+		committedSet: recycle.Zeroed(e.committedSet, n),
+		inRing:       recycle.Zeroed(e.inRing, n),
+		freeLists:    e.freeLists,
+		ckptPool:     pool,
+		archLive:     recycle.Zeroed(e.archLive, n),
 	}
 	for k := range e.freeLists {
-		e.freeLists[k] = newFreeRing(rf.Size())
+		e.freeLists[k] = resetRing(e.freeLists[k], n)
 	}
 	for l := 0; l < numLog; l++ {
 		t := Tag{Reg: PhysReg(l)}
@@ -170,7 +184,6 @@ func NewEarly(numLog int, rf *regfile.File) *EarlyRenamer {
 		e.freeLists[rf.ShadowCells(PhysReg(p))].push(PhysReg(p))
 		e.inRing[p] = true
 	}
-	return e
 }
 
 // PeekSrc implements Renamer.
@@ -220,10 +233,6 @@ func (e *EarlyRenamer) alloc() (PhysReg, Ver, bool) {
 		return 0, 0, false
 	}
 	p, _ := e.freeLists[best].pop()
-	if int(p) == TraceEarlyReg {
-		//repro:allow hotpath TraceEarlyReg debug path, off by default
-		fmt.Fprintf(os.Stderr, "[early] alloc P%d ctr=%d refs=%d curSeq=%d\n", p, e.ctr[p], e.retireRefs[p], e.curSeq)
-	}
 	e.inRing[p] = false
 	e.pending[p] = 0
 	e.unmapped[p] = false
@@ -312,10 +321,6 @@ func (e *EarlyRenamer) NoteSpecBoundary(boundary uint64) {
 			!e.committedSet[a.reg] || e.committedVer[a.reg] != e.ctr[a.reg] {
 			continue
 		}
-		if int(a.reg) == TraceEarlyReg {
-			//repro:allow hotpath TraceEarlyReg debug path, off by default
-			fmt.Fprintf(os.Stderr, "[early] release P%d unmapOp=%d boundary=%d ctr=%d\n", a.reg, a.unmapOp, boundary, e.ctr[a.reg])
-		}
 		e.freeLists[e.rf.ShadowCells(a.reg)].push(a.reg)
 		e.inRing[a.reg] = true
 		e.suppress[a.reg]++
@@ -357,10 +362,6 @@ func (e *EarlyRenamer) Commit(r DestResult) {
 	e.retireMap[r.Log] = r.Tag
 	e.retireRefs[old.Reg]--
 	if e.retireRefs[old.Reg] == 0 {
-		if int(old.Reg) == TraceEarlyReg {
-			//repro:allow hotpath TraceEarlyReg debug path, off by default
-			fmt.Fprintf(os.Stderr, "[early] commit-displace P%d.%d suppress=%d ctr=%d\n", old.Reg, old.Ver, e.suppress[old.Reg], e.ctr[old.Reg])
-		}
 		if e.suppress[old.Reg] > 0 {
 			e.suppress[old.Reg]--
 		} else {

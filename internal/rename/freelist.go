@@ -1,5 +1,7 @@
 package rename
 
+import "repro/internal/recycle"
+
 // freeRing is a circular free list designed for checkpoint/rollback.
 // Allocation pops at the head; release pushes at the tail; the free
 // registers are the ring slots in [head, tail).
@@ -21,14 +23,20 @@ type freeRing struct {
 	head, tail uint64 // absolute counters; free slots are [head, tail)
 }
 
-func newFreeRing(capacity int) *freeRing {
+// resetRing returns f (or a new ring when f is nil) emptied and sized for
+// capacity registers, reusing f's storage when it is large enough.
+func resetRing(f *freeRing, capacity int) *freeRing {
+	if f == nil {
+		f = &freeRing{}
+	}
 	// Ring storage is rounded up to a power of two so the hot push/pop
 	// index is a mask instead of a runtime division.
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &freeRing{buf: make([]PhysReg, n), mask: uint64(n - 1), cap: capacity}
+	*f = freeRing{buf: recycle.Zeroed(f.buf, n), mask: uint64(n - 1), cap: capacity}
+	return f
 }
 
 //repro:hotpath

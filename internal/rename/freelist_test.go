@@ -7,7 +7,7 @@ import (
 )
 
 func TestFreeRingBasic(t *testing.T) {
-	f := newFreeRing(4)
+	f := resetRing(nil, 4)
 	if _, ok := f.pop(); ok {
 		t.Error("pop from empty ring succeeded")
 	}
@@ -22,7 +22,7 @@ func TestFreeRingBasic(t *testing.T) {
 }
 
 func TestFreeRingRewindRestoresWrongPathAllocs(t *testing.T) {
-	f := newFreeRing(8)
+	f := resetRing(nil, 8)
 	for i := PhysReg(0); i < 6; i++ {
 		f.push(i)
 	}
@@ -45,7 +45,7 @@ func TestFreeRingRewindRestoresWrongPathAllocs(t *testing.T) {
 }
 
 func TestFreeRingOverflowPanics(t *testing.T) {
-	f := newFreeRing(2)
+	f := resetRing(nil, 2)
 	f.push(1)
 	f.push(2)
 	defer func() {
@@ -57,7 +57,7 @@ func TestFreeRingOverflowPanics(t *testing.T) {
 }
 
 func TestFreeRingRewindForwardPanics(t *testing.T) {
-	f := newFreeRing(2)
+	f := resetRing(nil, 2)
 	f.push(1)
 	defer func() {
 		if recover() == nil {
@@ -75,7 +75,7 @@ func TestFreeRingConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const n = 16
-		ring := newFreeRing(n)
+		ring := resetRing(nil, n)
 		free := map[PhysReg]bool{}
 		for i := PhysReg(0); i < n; i++ {
 			ring.push(i)

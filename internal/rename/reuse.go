@@ -3,6 +3,7 @@ package rename
 import (
 	"fmt"
 
+	"repro/internal/recycle"
 	"repro/internal/regfile"
 )
 
@@ -90,32 +91,49 @@ var _ Renamer = (*ReuseRenamer)(nil)
 // NewReuse creates a reuse renamer for numLog logical registers backed by
 // the banked file rf, sharing the given type predictor.
 func NewReuse(cfg ReuseConfig, numLog int, rf *regfile.File, pred *TypePredictor) *ReuseRenamer {
+	r := &ReuseRenamer{}
+	r.Reset(cfg, numLog, rf, pred)
+	return r
+}
+
+// Reset puts r into the state NewReuse(cfg, numLog, rf, pred) builds,
+// reusing its arrays where they are large enough. Pooled checkpoints are
+// kept when numLog and the register count are unchanged: Checkpoint
+// overwrites every field of a pooled one.
+func (r *ReuseRenamer) Reset(cfg ReuseConfig, numLog int, rf *regfile.File, pred *TypePredictor) {
 	if rf.Size() <= numLog {
 		panic(fmt.Sprintf("rename: register file of %d cannot back %d logical registers", rf.Size(), numLog))
 	}
 	if cfg.MaxVersions == 0 || cfg.MaxVersions > regfile.MaxShadow {
 		panic("rename: MaxVersions must be 1..3")
 	}
-	r := &ReuseRenamer{
+	n := rf.Size()
+	pool := r.ckptPool
+	if numLog != r.numLog || n != len(r.prt) {
+		pool = nil
+	}
+	*r = ReuseRenamer{
 		cfg:        cfg,
 		numLog:     numLog,
-		mapTable:   make([]mapEntry, numLog),
-		retireMap:  make([]Tag, numLog),
-		retireRefs: make([]uint8, rf.Size()),
-		prt:        make([]prtEntry, rf.Size()),
-		ctr:        make([]Ver, rf.Size()),
-		readBit:    make([]bool, rf.Size()),
-		maxVer:     make([]Ver, rf.Size()),
+		mapTable:   recycle.Zeroed(r.mapTable, numLog),
+		retireMap:  recycle.Zeroed(r.retireMap, numLog),
+		retireRefs: recycle.Zeroed(r.retireRefs, n),
+		prt:        recycle.Zeroed(r.prt, n),
+		ctr:        recycle.Zeroed(r.ctr, n),
+		readBit:    recycle.Zeroed(r.readBit, n),
+		maxVer:     recycle.Zeroed(r.maxVer, n),
+		freeLists:  r.freeLists,
 		rf:         rf,
 		pred:       pred,
-		archLive:   make([]bool, rf.Size()),
-		archVer:    make([]Ver, rf.Size()),
+		ckptPool:   pool,
+		archLive:   recycle.Zeroed(r.archLive, n),
+		archVer:    recycle.Zeroed(r.archVer, n),
 	}
 	for i := range r.prt {
 		r.prt[i].predIdx = -1
 	}
 	for k := range r.freeLists {
-		r.freeLists[k] = newFreeRing(rf.Size())
+		r.freeLists[k] = resetRing(r.freeLists[k], n)
 	}
 	// Architectural state starts in the lowest-numbered registers (the
 	// 0-shadow bank first, by construction of regfile.New).
@@ -131,7 +149,6 @@ func NewReuse(cfg ReuseConfig, numLog int, rf *regfile.File, pred *TypePredictor
 		k := rf.ShadowCells(PhysReg(p))
 		r.freeLists[k].push(PhysReg(p))
 	}
-	return r
 }
 
 // PeekSrc implements Renamer.

@@ -1,5 +1,7 @@
 package rename
 
+import "repro/internal/recycle"
+
 // TypePredictor is the paper's register type predictor (§IV-D): a PC-indexed
 // table of 2-bit entries. Entry value 0 predicts a normal register (no
 // shadow cells); values 1..3 predict a register that will be reused, to be
@@ -28,14 +30,21 @@ type TypePredictor struct {
 // the paper uses 512). All entries start at 1, biasing new code toward
 // single-shadow registers.
 func NewTypePredictor(entries int) *TypePredictor {
+	t := &TypePredictor{}
+	t.ResetTable(entries)
+	return t
+}
+
+// ResetTable puts t into the state NewTypePredictor(entries) builds, reusing
+// its table when it is large enough. (Reset clears a single entry.)
+func (t *TypePredictor) ResetTable(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("rename: predictor size must be a positive power of two")
 	}
-	t := &TypePredictor{entries: make([]uint8, entries)}
+	*t = TypePredictor{entries: recycle.Zeroed(t.entries, entries)}
 	for i := range t.entries {
 		t.entries[i] = 1
 	}
-	return t
 }
 
 // Index hashes an instruction PC to a table index.

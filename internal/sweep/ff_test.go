@@ -160,3 +160,35 @@ func TestSampledSpecThroughEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledRecycledCoresConcurrent runs each sampled job's intervals on
+// two workers, each recycling cores from the job's free list, and requires
+// the result — estimate and summed counters — to be bit-identical to the
+// serial run. Under -race it also pins that concurrent intervals never
+// share a core.
+func TestSampledRecycledCoresConcurrent(t *testing.T) {
+	for _, j := range []Job{
+		{Workload: "dgemm", Scheme: "reuse", Scale: 1, Sample: "200:500:3000"},
+		{Workload: "qsortint", Scheme: "baseline", Scale: 1, Size: 64, Sample: "200:500:3000"},
+		{Workload: "fir", Scheme: "early", Scale: 1, Sample: "200:500:3000"},
+	} {
+		serial, err := ExecuteWithWorkers(j, nil, nil, 1)
+		if err != nil {
+			t.Fatalf("%s/%s serial: %v", j.Workload, j.Scheme, err)
+		}
+		if serial.Sampled == nil || serial.Sampled.Samples < 4 {
+			t.Fatalf("%s/%s: want several intervals, got %+v", j.Workload, j.Scheme, serial.Sampled)
+		}
+		conc, err := ExecuteWithWorkers(j, nil, nil, 2)
+		if err != nil {
+			t.Fatalf("%s/%s workers=2: %v", j.Workload, j.Scheme, err)
+		}
+		if *conc.Sampled != *serial.Sampled {
+			t.Errorf("%s/%s: workers=2 estimate %+v != serial %+v", j.Workload, j.Scheme, conc.Sampled, serial.Sampled)
+		}
+		conc.Sampled, serial.Sampled = nil, nil
+		if conc != serial {
+			t.Errorf("%s/%s: workers=2 counters %+v != serial %+v", j.Workload, j.Scheme, conc, serial)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/area"
@@ -215,12 +216,17 @@ func executeSampled(j Job, w workloads.Workload, m *Metrics, workers int) (JobRe
 	if err != nil {
 		return JobResult{}, fmt.Errorf("%s/%s: %w", j.Workload, j.Scheme, err)
 	}
-	if workers == 0 {
+	switch {
+	case workers == 0:
 		workers = 1
+	case workers < 0:
+		workers = runtime.GOMAXPROCS(0)
 	}
 	p := w.Program()
 	var accMu sync.Mutex
 	var acc JobResult
+	// Intervals run on recycled cores: at most one per sample worker.
+	cores := pipeline.NewFreeList(workers)
 	run := func(bs *ckpt.BootState, warmup, detail uint64) (ckpt.IntervalStats, error) {
 		cfg, err := jobConfig(j)
 		if err != nil {
@@ -229,7 +235,7 @@ func executeSampled(j Job, w workloads.Workload, m *Metrics, workers int) (JobRe
 		cfg.Boot = bs.Boot
 		cfg.BootWarmup = bs.Warmup
 		cfg.MaxInsts = warmup + detail
-		core := pipeline.New(cfg, p)
+		core := cores.Get(cfg, p)
 		// The first warmup instructions run at full fidelity but are excluded
 		// from measurement: they absorb pipeline fill and residual cold
 		// misses, so the measured delta reflects steady-state behavior.
@@ -241,6 +247,7 @@ func executeSampled(j Job, w workloads.Workload, m *Metrics, workers int) (JobRe
 			return ckpt.IntervalStats{}, err
 		}
 		r := counterDelta(resultFrom(core), base)
+		cores.Put(core)
 		// Counter sums are order-independent; the mutex alone keeps the
 		// aggregate deterministic under concurrent intervals.
 		accMu.Lock()

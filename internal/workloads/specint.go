@@ -13,8 +13,10 @@ func genHashJoin(scale int) Workload {
 	sq := scale * scale
 	n := 512 * sq          // keys inserted
 	probes := 2048 * scale // probe count
-	tblSize := 2048 * sq   // 1 MB of slots at reference scale: misses matter
-	for tblSize < 4*n {
+	// 2048*scale² slots (256 KB at reference scale: misses matter), rounded
+	// up to a power of two because slot indices are masked with size-1.
+	tblSize := 1
+	for tblSize < 2048*sq || tblSize < 4*n {
 		tblSize *= 2
 	}
 	mask := int64(tblSize - 1)

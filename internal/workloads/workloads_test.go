@@ -3,6 +3,7 @@ package workloads
 import (
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/asm"
@@ -52,6 +53,33 @@ func TestReferenceScaleWorkloadsMatchReference(t *testing.T) {
 			}
 			t.Logf("%s: %d dynamic instructions", w.Name, n)
 		})
+	}
+}
+
+// TestHashJoinScale3 covers a scale whose 2048*scale² table size is not a
+// power of two: generation must still terminate (the table is rounded up
+// for the slot mask) and the program must reproduce the reference checksum.
+func TestHashJoinScale3(t *testing.T) {
+	done := make(chan Workload, 1)
+	go func() {
+		w, _ := ByName("hashjoin", 3)
+		done <- w
+	}()
+	var w Workload
+	select {
+	case w = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ByName(hashjoin, 3) did not return")
+	}
+	s := emu.New(w.Program())
+	if _, err := s.RunToHalt(maxInsts, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Halted() {
+		t.Fatal("hashjoin@3 did not reach HALT")
+	}
+	if got := s.X[CheckReg]; got != w.Want {
+		t.Errorf("hashjoin@3: checksum = %#x, want %#x", got, w.Want)
 	}
 }
 

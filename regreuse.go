@@ -23,6 +23,7 @@ package regreuse
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/analysis"
@@ -323,12 +324,21 @@ func runSampled(p *prog.Program, seed Result, want uint64, check bool, cfg Confi
 		allocs, reuses       uint64
 		stallNoReg, rob, iq  uint64
 	}
+	workers := cfg.SampleWorkers
+	switch {
+	case workers == 0:
+		workers = 1
+	case workers < 0:
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Intervals run on recycled cores: at most one per sample worker.
+	cores := pipeline.NewFreeList(workers)
 	run := func(bs *ckpt.BootState, warmup, detail uint64) (ckpt.IntervalStats, error) {
 		pcfg := cfg.pipelineConfig()
 		pcfg.Boot = bs.Boot
 		pcfg.BootWarmup = bs.Warmup
 		pcfg.MaxInsts = warmup + detail
-		core := pipeline.New(pcfg, p)
+		core := cores.Get(pcfg, p)
 		if err := core.RunTo(warmup); err != nil {
 			return ckpt.IntervalStats{}, err
 		}
@@ -358,11 +368,8 @@ func runSampled(p *prog.Program, seed Result, want uint64, check bool, cfg Confi
 		agg.rob += st.StallROB - base[6]
 		agg.iq += st.StallIQ - base[7]
 		aggMu.Unlock()
+		cores.Put(core)
 		return is, nil
-	}
-	workers := cfg.SampleWorkers
-	if workers == 0 {
-		workers = 1
 	}
 	est, final, err := ckpt.SampleN(p, plan, cfg.MaxInsts, workers, run)
 	if err != nil {
